@@ -3,9 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use ceresz_core::fixed_length::{
-    bit_shuffle, bit_unshuffle, effective_bits, max_magnitude, signs_and_magnitudes,
-};
+use ceresz_core::fixed_length::{apply_signs, bit_shuffle, bit_unshuffle, signs_and_magnitudes};
 use ceresz_core::lorenzo::{forward_1d, inverse_1d};
 use ceresz_core::quantize::{dequantize, quantize};
 
@@ -37,22 +35,72 @@ fn bench_lorenzo(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_bit_shuffle(c: &mut Criterion) {
-    let deltas: Vec<i64> = (0..32).map(|i| (i * 97) % 1024 - 512).collect();
-    let mut signs = vec![0u8; 4];
-    let mut mags = vec![0u32; 32];
-    signs_and_magnitudes(&deltas, &mut signs, &mut mags);
-    let f = effective_bits(max_magnitude(&mags));
-    let mut planes = vec![0u8; f as usize * 4];
-    let mut group = c.benchmark_group("bit-shuffle(32-block)");
-    group.throughput(Throughput::Elements(32));
-    group.bench_function("shuffle", |b| b.iter(|| bit_shuffle(&mags, f, &mut planes)));
-    let mut back = vec![0u32; 32];
-    group.bench_function("unshuffle", |b| {
-        b.iter(|| bit_unshuffle(&planes, f, &mut back));
-    });
+/// Residuals of 32-element blocks whose magnitudes need exactly `f` bits.
+fn residuals(f: u32) -> Vec<i64> {
+    (0..BLOCKS * 32)
+        .map(|i| {
+            let m = ((i as i64 * 2_654_435_761) & ((1i64 << f) - 1)) | (1i64 << (f - 1));
+            if i % 3 == 0 {
+                -m
+            } else {
+                m
+            }
+        })
+        .collect()
+}
+
+/// Blocks per iteration of the fixed-length benches.
+const BLOCKS: usize = 256;
+
+fn bench_fixed_length(c: &mut Criterion) {
+    let n = BLOCKS * 32;
+    let mut group = c.benchmark_group("fixed-length(32-blocks)");
+    group.throughput(Throughput::Elements(n as u64));
+    // One, three and four byte lanes of effective bits.
+    for f in [8u32, 17, 31] {
+        let deltas = residuals(f);
+        let mut signs = vec![0u8; n / 8];
+        let mut mags = vec![0u32; n];
+        group.bench_function(format!("signs_and_magnitudes/f={f}"), |b| {
+            b.iter(|| {
+                for ((d, s), m) in deltas
+                    .chunks(32)
+                    .zip(signs.chunks_mut(4))
+                    .zip(mags.chunks_mut(32))
+                {
+                    signs_and_magnitudes(d, s, m);
+                }
+            });
+        });
+        let pb = 4 * f as usize;
+        let mut planes = vec![0u8; BLOCKS * pb];
+        group.bench_function(format!("shuffle/f={f}"), |b| {
+            b.iter(|| {
+                for (m, p) in mags.chunks(32).zip(planes.chunks_mut(pb)) {
+                    bit_shuffle(m, f, p);
+                }
+            });
+        });
+        let mut back = vec![0u32; n];
+        group.bench_function(format!("unshuffle/f={f}"), |b| {
+            b.iter(|| {
+                for (m, p) in back.chunks_mut(32).zip(planes.chunks(pb)) {
+                    bit_unshuffle(p, f, m);
+                }
+            });
+        });
+        let mut out = vec![0i64; n];
+        group.bench_function(format!("apply_signs/f={f}"), |b| {
+            b.iter(|| {
+                for ((o, s), m) in out.chunks_mut(32).zip(signs.chunks(4)).zip(back.chunks(32)) {
+                    apply_signs(s, m, o);
+                }
+            });
+        });
+        assert_eq!(out, deltas, "fixed-length kernels must round-trip");
+    }
     group.finish();
 }
 
-criterion_group!(benches, bench_quantize, bench_lorenzo, bench_bit_shuffle);
+criterion_group!(benches, bench_quantize, bench_lorenzo, bench_fixed_length);
 criterion_main!(benches);

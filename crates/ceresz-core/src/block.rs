@@ -22,7 +22,7 @@
 
 use crate::compressor::CompressError;
 use crate::fixed_length::{
-    apply_signs, bit_shuffle, bit_unshuffle, effective_bits, max_magnitude, signs_and_magnitudes,
+    apply_signs, bit_shuffle, bit_unshuffle, effective_bits, signs_magnitudes_or,
 };
 use crate::lorenzo::{forward_1d_in_place, inverse_1d_in_place};
 use crate::quantize::{dequantize, quantize};
@@ -156,8 +156,9 @@ impl BlockCodec {
             data.len() <= self.block_size,
             "block data longer than block size"
         );
-        scratch.q.clear();
+        // Past the data, the block is zero-padded.
         scratch.q.resize(self.block_size, 0);
+        scratch.q[data.len()..].fill(0);
         quantize(data, eps, &mut scratch.q[..data.len()]).map_err(CompressError::Quantize)?;
         forward_1d_in_place(&mut scratch.q);
         // Split the borrow: encode from scratch.q using the other buffers.
@@ -165,16 +166,16 @@ impl BlockCodec {
         self.encode_deltas_inner(q, signs, mags, out)
     }
 
-    /// Encode one block given its Lorenzo residuals (used by the WSE kernels,
-    /// which produce residuals on an earlier PE of the pipeline).
-    pub fn encode_deltas(
+    /// Encode one block given its residuals, with caller-provided working
+    /// buffers. Used where another stage produced the residuals: the recipe
+    /// interpreter and the 2-D codec.
+    pub fn encode_deltas_with(
         &self,
         deltas: &[i64],
+        scratch: &mut BlockScratch,
         out: &mut Vec<u8>,
     ) -> Result<BlockInfo, CompressError> {
-        let mut signs = Vec::new();
-        let mut mags = Vec::new();
-        self.encode_deltas_inner(deltas, &mut signs, &mut mags, out)
+        self.encode_deltas_inner(deltas, &mut scratch.signs, &mut scratch.mags, out)
     }
 
     fn encode_deltas_inner(
@@ -186,17 +187,15 @@ impl BlockCodec {
     ) -> Result<BlockInfo, CompressError> {
         assert_eq!(deltas.len(), self.block_size, "delta block size mismatch");
         let pb = self.plane_bytes();
-        signs.clear();
+        // Both buffers are fully overwritten.
         signs.resize(pb, 0);
-        mags.clear();
         mags.resize(self.block_size, 0);
-        for (i, &d) in deltas.iter().enumerate() {
-            if d.unsigned_abs() > i64::from(i32::MAX).unsigned_abs() {
-                return Err(CompressError::DeltaOverflow { index: i });
-            }
+        let bits = signs_magnitudes_or(deltas, signs, mags);
+        let limit = u64::from(i32::MAX.unsigned_abs());
+        if bits > limit {
+            return Err(first_delta_overflow(deltas, limit));
         }
-        signs_and_magnitudes(deltas, signs, mags);
-        let f = effective_bits(max_magnitude(mags));
+        let f = effective_bits(bits as u32);
         debug_assert!(f <= Self::MAX_FIXED_LENGTH);
         self.write_header(f, out);
         if f == 0 {
@@ -258,38 +257,26 @@ impl BlockCodec {
         scratch: &mut BlockScratch,
         out: &mut [i64],
     ) -> Result<usize, CompressError> {
-        assert_eq!(out.len(), self.block_size, "output block size mismatch");
-        let f = self.read_header(bytes)?;
-        let hb = self.header.bytes();
-        if f == 0 {
-            out.fill(0);
-            return Ok(hb);
+        let consumed = self.decode_block_deltas_with(bytes, scratch, out)?;
+        // A zero block is its header alone and decodes to zeros, which the
+        // prefix sum would leave as they are.
+        if consumed > self.header.bytes() {
+            inverse_1d_in_place(out);
         }
-        let pb = self.plane_bytes();
-        let need = self.encoded_size(f);
-        if bytes.len() < need {
-            return Err(CompressError::Truncated);
-        }
-        let signs = &bytes[hb..hb + pb];
-        let planes = &bytes[hb + pb..need];
-        scratch.mags.clear();
-        scratch.mags.resize(self.block_size, 0);
-        bit_unshuffle(planes, f, &mut scratch.mags);
-        apply_signs(signs, &scratch.mags, out);
-        inverse_1d_in_place(out);
-        Ok(need)
+        Ok(consumed)
     }
 
     /// Decode one block's *residuals* exactly as encoded — without the 1-D
     /// inverse Lorenzo that [`Self::decode_block_quantized`] applies. The
-    /// counterpart of [`Self::encode_deltas`], used when a different
+    /// counterpart of [`Self::encode_deltas_with`], used when a different
     /// predictor (2-D tiles, or none at all) produced the residuals.
     ///
     /// Returns the number of input bytes consumed. `out` must be exactly one
     /// block long and is fully overwritten.
-    pub fn decode_block_deltas(
+    pub fn decode_block_deltas_with(
         &self,
         bytes: &[u8],
+        scratch: &mut BlockScratch,
         out: &mut [i64],
     ) -> Result<usize, CompressError> {
         assert_eq!(out.len(), self.block_size, "output block size mismatch");
@@ -306,9 +293,10 @@ impl BlockCodec {
         }
         let signs = &bytes[hb..hb + pb];
         let planes = &bytes[hb + pb..need];
-        let mut mags = vec![0u32; self.block_size];
-        bit_unshuffle(planes, f, &mut mags);
-        apply_signs(signs, &mags, out);
+        // Fully overwritten by the unshuffle.
+        scratch.mags.resize(self.block_size, 0);
+        bit_unshuffle(planes, f, &mut scratch.mags);
+        apply_signs(signs, &scratch.mags, out);
         Ok(need)
     }
 
@@ -333,7 +321,7 @@ impl BlockCodec {
         out: &mut [f32],
     ) -> Result<usize, CompressError> {
         let mut q = std::mem::take(&mut scratch.q);
-        q.clear();
+        // Fully overwritten by the decode.
         q.resize(self.block_size, 0);
         let result = self.decode_block_quantized_with(bytes, scratch, &mut q);
         if result.is_ok() {
@@ -342,6 +330,18 @@ impl BlockCodec {
         scratch.q = q;
         result
     }
+}
+
+/// The error for the first residual whose magnitude exceeds `limit`, which
+/// the caller has seen at least one residual do.
+#[cold]
+#[inline(never)]
+fn first_delta_overflow(deltas: &[i64], limit: u64) -> CompressError {
+    let index = deltas
+        .iter()
+        .position(|d| d.unsigned_abs() > limit)
+        .expect("some residual exceeds the limit");
+    CompressError::DeltaOverflow { index }
 }
 
 #[cfg(test)]
@@ -440,6 +440,31 @@ mod tests {
             codec.decode_block(&bytes, 1e-3, &mut rec),
             Err(CompressError::CorruptHeader { fixed_length: 77 })
         ));
+    }
+
+    #[test]
+    fn residual_beyond_31_bits_is_a_typed_error_at_its_index() {
+        let codec = BlockCodec::new(32, HeaderWidth::W4);
+        let mut scratch = BlockScratch::default();
+        let mut deltas = vec![0i64; 32];
+        deltas[3] = i64::from(i32::MAX); // fits: f = 31
+        deltas[4] = -i64::from(i32::MAX);
+        let mut out = Vec::new();
+        let info = codec
+            .encode_deltas_with(&deltas, &mut scratch, &mut out)
+            .unwrap();
+        assert_eq!(info.fixed_length, 31);
+        for (at, big) in [(9, 1i64 << 31), (17, -(1i64 << 31)), (30, i64::MIN)] {
+            deltas[at] = big;
+            deltas[31] = i64::MAX;
+            let mut out = Vec::new();
+            assert_eq!(
+                codec.encode_deltas_with(&deltas, &mut scratch, &mut out),
+                Err(CompressError::DeltaOverflow { index: at })
+            );
+            assert!(out.is_empty(), "nothing is written for a failed block");
+            deltas[at] = 0;
+        }
     }
 
     #[test]

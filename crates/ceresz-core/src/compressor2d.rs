@@ -18,7 +18,7 @@
 //! 48 KB SRAM for any realistic field width. The ablation quantifies both
 //! sides.
 
-use crate::block::{BlockCodec, HeaderWidth};
+use crate::block::{BlockCodec, BlockScratch, HeaderWidth};
 use crate::bound::ErrorBound;
 use crate::compressor::{CompressError, CompressionStats};
 use crate::lorenzo::{forward_2d, inverse_2d};
@@ -121,6 +121,7 @@ pub fn compress_2d(
     let mut raw = vec![0f32; t * t];
     let mut q = vec![0i64; t * t];
     let mut deltas = vec![0i64; t * t];
+    let mut scratch = BlockScratch::default();
     for tr in 0..tiles_r {
         for tc in 0..tiles_c {
             // Gather the tile, zero-padding past the field edge.
@@ -133,7 +134,7 @@ pub fn compress_2d(
             }
             quantize(&raw, eps, &mut q)?;
             forward_2d(&q, t, t, &mut deltas);
-            let info = codec.encode_deltas(&deltas, &mut out)?;
+            let info = codec.encode_deltas_with(&deltas, &mut scratch, &mut out)?;
             stats.n_blocks += 1;
             if info.is_zero {
                 stats.zero_blocks += 1;
@@ -174,10 +175,11 @@ pub fn decompress_2d(bytes: &[u8]) -> Result<(Vec<f32>, usize, usize), CompressE
     let mut q = vec![0i64; t * t];
     let mut rec_q = vec![0i64; t * t];
     let mut rec = vec![0f32; t * t];
+    let mut scratch = BlockScratch::default();
     let mut pos = 0usize;
     for tr in 0..rows.div_ceil(t) {
         for tc in 0..cols.div_ceil(t) {
-            pos += codec.decode_block_deltas(&payload[pos..], &mut q)?;
+            pos += codec.decode_block_deltas_with(&payload[pos..], &mut scratch, &mut q)?;
             inverse_2d(&q, t, t, &mut rec_q);
             dequantize(&rec_q, eps, &mut rec);
             for i in 0..t.min(rows - tr * t) {

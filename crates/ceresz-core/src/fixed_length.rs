@@ -21,15 +21,46 @@
 /// (including padding bits, which are cleared). Bit `i % 8` of byte `i / 8`
 /// is 1 when `residuals[i]` is negative.
 pub fn signs_and_magnitudes(residuals: &[i64], signs: &mut [u8], magnitudes: &mut [u32]) {
-    debug_assert_eq!(magnitudes.len(), residuals.len());
-    debug_assert_eq!(signs.len(), residuals.len().div_ceil(8));
-    signs.fill(0);
-    for (i, (&r, m)) in residuals.iter().zip(magnitudes.iter_mut()).enumerate() {
-        if r < 0 {
-            signs[i / 8] |= 1 << (i % 8);
-        }
-        *m = r.unsigned_abs() as u32;
+    signs_magnitudes_or(residuals, signs, magnitudes);
+}
+
+/// Sub-stages *Sign* and *Max* in one pass: [`signs_and_magnitudes`], and
+/// the OR of every `|residual|` as a `u64`. The OR has the same highest set
+/// bit as the maximum, so its [`effective_bits`] are the block's `f`, and it
+/// exceeds `i32::MAX` exactly when some magnitude does.
+pub(crate) fn signs_magnitudes_or(
+    residuals: &[i64],
+    signs: &mut [u8],
+    magnitudes: &mut [u32],
+) -> u64 {
+    assert_eq!(magnitudes.len(), residuals.len());
+    assert_eq!(signs.len(), residuals.len().div_ceil(8));
+    let (r8, r_tail) = residuals.as_chunks::<8>();
+    let (m8, m_tail) = magnitudes.as_chunks_mut::<8>();
+    let mut acc = 0u64;
+    for ((r, m), s) in r8.iter().zip(m8).zip(signs.iter_mut()) {
+        *s = sign_group(r, m, &mut acc);
     }
+    if !r_tail.is_empty() {
+        let mut m = [0; 8];
+        signs[r8.len()] = sign_group(&padded(r_tail), &mut m, &mut acc);
+        m_tail.copy_from_slice(&m[..m_tail.len()]);
+    }
+    acc
+}
+
+/// The sign byte and magnitudes of 8 residuals; ORs each `|residual|` into
+/// `acc`.
+#[inline(always)]
+fn sign_group(r: &[i64; 8], m: &mut [u32; 8], acc: &mut u64) -> u8 {
+    let mut byte = 0;
+    for j in 0..8 {
+        byte |= ((r[j] as u64 >> 63) as u8) << j;
+        let a = r[j].unsigned_abs();
+        *acc |= a;
+        m[j] = a as u32;
+    }
+    byte
 }
 
 /// Sub-stage *Max*: maximum magnitude of the block (0 for an empty block).
@@ -49,19 +80,78 @@ pub fn effective_bits(max: u32) -> u32 {
     32 - max.leading_zeros()
 }
 
+/// The first elements of an 8-element group, zero-padded.
+#[inline(always)]
+fn padded<T: Copy + Default>(tail: &[T]) -> [T; 8] {
+    let mut group = [T::default(); 8];
+    group[..tail.len()].copy_from_slice(tail);
+    group
+}
+
+/// Transpose, in place, the four 8×8 bit matrices held in the byte lanes of
+/// 8 rows: bit `i` of byte `l` of row `j` trades places with bit `j` of byte
+/// `l` of row `i`. This is Hacker's Delight `transpose8` (three rounds of
+/// mask-and-shift swaps of ever smaller off-diagonal blocks), run on all four
+/// lanes at once.
+#[inline(always)]
+fn transpose_lanes(rows: &mut [u32; 8]) {
+    swap_blocks::<4>(rows, 0x0F0F_0F0F);
+    swap_blocks::<2>(rows, 0x3333_3333);
+    swap_blocks::<1>(rows, 0x5555_5555);
+}
+
+/// One `transpose8` round: swap the off-diagonal `J`×`J` blocks of every
+/// `2J`×`2J` block. For each row `r` with `r & J == 0`, the bits of row `r`
+/// whose position has bit `J` set trade places with the bits `J` positions
+/// lower in row `r + J`.
+#[inline(always)]
+fn swap_blocks<const J: usize>(rows: &mut [u32; 8], mask: u32) {
+    for r in 0..8 {
+        if r & J == 0 {
+            let t = ((rows[r] >> J) ^ rows[r + J]) & mask;
+            rows[r + J] ^= t;
+            rows[r] ^= t << J;
+        }
+    }
+}
+
 /// Sub-stage *Bit-shuffle* (Fig. 8): transpose magnitudes into `f` bit-planes.
 ///
 /// `planes` must hold `f * ceil(L / 8)` bytes, where `L = magnitudes.len()`;
 /// plane `k` occupies bytes `k * ceil(L/8) .. (k+1) * ceil(L/8)`. All bytes
 /// are overwritten. Each plane's shuffle is independent of the others, which
 /// is what lets the mapper split this sub-stage per bit (§4.2).
+///
+/// Byte `g` of plane `k` packs bit `k` of elements `8g .. 8g+8`, so after
+/// an 8×8 bit transpose of each byte lane of those 8 magnitudes (Hacker's
+/// Delight `transpose8`, all four lanes at once), byte `k / 8` of row `k % 8`
+/// is that plane byte: one transpose per 8 elements, then `f` stores.
 pub fn bit_shuffle(magnitudes: &[u32], f: u32, planes: &mut [u8]) {
-    let plane_bytes = magnitudes.len().div_ceil(8);
-    debug_assert_eq!(planes.len(), f as usize * plane_bytes);
-    planes.fill(0);
-    for k in 0..f {
-        let plane = &mut planes[k as usize * plane_bytes..(k as usize + 1) * plane_bytes];
-        bit_shuffle_one_plane(magnitudes, k, plane);
+    let pb = magnitudes.len().div_ceil(8);
+    assert!(f <= 32, "fixed length {f} exceeds 32 bits");
+    assert_eq!(planes.len(), f as usize * pb);
+    let (m8, tail) = magnitudes.as_chunks::<8>();
+    for (g, group) in m8.iter().enumerate() {
+        store_plane_bytes(*group, f, pb, g, planes);
+    }
+    if !tail.is_empty() {
+        store_plane_bytes(padded(tail), f, pb, m8.len(), planes);
+    }
+}
+
+/// Transpose one group of 8 magnitudes and write byte `g` of planes `0..f`.
+#[inline(always)]
+fn store_plane_bytes(mut rows: [u32; 8], f: u32, pb: usize, g: usize, planes: &mut [u8]) {
+    transpose_lanes(&mut rows);
+    let mut at = g;
+    let mut lane = 0;
+    while lane < f {
+        let bytes: [u8; 8] = std::array::from_fn(|i| (rows[i] >> lane) as u8);
+        for &b in &bytes[..(f - lane).min(8) as usize] {
+            planes[at] = b;
+            at += pb;
+        }
+        lane += 8;
     }
 }
 
@@ -69,24 +159,71 @@ pub fn bit_shuffle(magnitudes: &[u32], f: u32, planes: &mut [u8]) {
 /// assigns individual planes ("1-bit Shuffle") to PEs.
 pub fn bit_shuffle_one_plane(magnitudes: &[u32], k: u32, plane: &mut [u8]) {
     debug_assert_eq!(plane.len(), magnitudes.len().div_ceil(8));
-    plane.fill(0);
-    for (i, &m) in magnitudes.iter().enumerate() {
-        plane[i / 8] |= (((m >> k) & 1) as u8) << (i % 8);
+    let (m8, tail) = magnitudes.as_chunks::<8>();
+    for (byte, group) in plane.iter_mut().zip(m8) {
+        *byte = plane_byte(group, k);
     }
+    if !tail.is_empty() {
+        plane[m8.len()] = plane_byte(&padded(tail), k);
+    }
+}
+
+/// Bit `k` of 8 magnitudes, element `j` at bit `j`.
+#[inline(always)]
+fn plane_byte(group: &[u32; 8], k: u32) -> u8 {
+    group
+        .iter()
+        .rev()
+        .fold(0, |byte, &m| (byte << 1) | ((m >> k) & 1) as u8)
 }
 
 /// Inverse of [`bit_shuffle`]: reassemble magnitudes from `f` bit-planes.
 ///
-/// `magnitudes` is fully overwritten.
+/// `magnitudes` is fully overwritten; padding bits in the last byte of each
+/// plane are ignored. The transpose is its own inverse, so this gathers
+/// byte `g` of every plane into rows and runs the transpose again.
 pub fn bit_unshuffle(planes: &[u8], f: u32, magnitudes: &mut [u32]) {
-    let plane_bytes = magnitudes.len().div_ceil(8);
-    debug_assert_eq!(planes.len(), f as usize * plane_bytes);
-    magnitudes.fill(0);
-    for k in 0..f {
-        let plane = &planes[k as usize * plane_bytes..(k as usize + 1) * plane_bytes];
-        for (i, m) in magnitudes.iter_mut().enumerate() {
-            let bit = (plane[i / 8] >> (i % 8)) & 1;
-            *m |= u32::from(bit) << k;
+    let pb = magnitudes.len().div_ceil(8);
+    assert!(f <= 32, "fixed length {f} exceeds 32 bits");
+    assert_eq!(planes.len(), f as usize * pb);
+    let (m8, tail) = magnitudes.as_chunks_mut::<8>();
+    for (g, group) in m8.iter_mut().enumerate() {
+        *group = load_plane_bytes(planes, f, pb, g);
+    }
+    if !tail.is_empty() {
+        let group = load_plane_bytes(planes, f, pb, m8.len());
+        tail.copy_from_slice(&group[..tail.len()]);
+    }
+}
+
+/// Read byte `g` of planes `0..f` and transpose it back into 8 magnitudes.
+#[inline(always)]
+fn load_plane_bytes(planes: &[u8], f: u32, pb: usize, g: usize) -> [u32; 8] {
+    let mut rows = [0u32; 8];
+    let mut at = g;
+    let mut lane = 0;
+    while lane < f {
+        let mut bytes = [0u8; 8];
+        for b in &mut bytes[..(f - lane).min(8) as usize] {
+            *b = planes[at];
+            at += pb;
+        }
+        for i in 0..8 {
+            rows[i] |= u32::from(bytes[i]) << lane;
+        }
+        lane += 8;
+    }
+    transpose_lanes(&mut rows);
+    rows
+}
+
+/// Inverse of [`bit_shuffle_one_plane`]: OR bit `k` of every element from
+/// `plane` into `magnitudes`, whose bit `k` must be clear.
+pub fn bit_unshuffle_one_plane(plane: &[u8], k: u32, magnitudes: &mut [u32]) {
+    debug_assert_eq!(plane.len(), magnitudes.len().div_ceil(8));
+    for (group, &byte) in magnitudes.chunks_mut(8).zip(plane) {
+        for (j, m) in group.iter_mut().enumerate() {
+            *m |= u32::from((byte >> j) & 1) << k;
         }
     }
 }
@@ -96,10 +233,25 @@ pub fn bit_unshuffle(planes: &[u8], f: u32, magnitudes: &mut [u32]) {
 pub fn apply_signs(signs: &[u8], magnitudes: &[u32], out: &mut [i64]) {
     debug_assert_eq!(out.len(), magnitudes.len());
     debug_assert_eq!(signs.len(), magnitudes.len().div_ceil(8));
-    for (i, (o, &m)) in out.iter_mut().zip(magnitudes).enumerate() {
-        let neg = (signs[i / 8] >> (i % 8)) & 1 == 1;
-        let v = i64::from(m);
-        *o = if neg { -v } else { v };
+    let (o8, o_tail) = out.as_chunks_mut::<8>();
+    let (m8, m_tail) = magnitudes.as_chunks::<8>();
+    for ((o, m), &s) in o8.iter_mut().zip(m8).zip(signs) {
+        apply_group(s, m, o);
+    }
+    if !o_tail.is_empty() {
+        let mut o = [0; 8];
+        apply_group(signs[o8.len()], &padded(m_tail), &mut o);
+        o_tail.copy_from_slice(&o[..o_tail.len()]);
+    }
+}
+
+/// Negate each of 8 magnitudes whose bit is set in `signs`, without a branch.
+#[inline(always)]
+fn apply_group(signs: u8, m: &[u32; 8], out: &mut [i64; 8]) {
+    for j in 0..8 {
+        // 0 for a positive element, -1 (all ones) for a negative one.
+        let neg = 0i64.wrapping_sub(i64::from((signs >> j) & 1));
+        out[j] = (i64::from(m[j]) ^ neg).wrapping_sub(neg);
     }
 }
 

@@ -64,15 +64,55 @@ pub fn round_sub_stage(scaled: &[f64], out: &mut [i64]) {
     }
 }
 
+/// `1.5 · 2^52`: adding it to a `|y| ≤ 2^51` lands in `[2^52, 2^53)`, where
+/// the spacing of `f64` is 1, so the sum is `y` rounded to an integer, held
+/// in the low mantissa bits.
+const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
+
+/// `floor(y)` for `|y| ≤ 2^51` without the libm call `f64::floor` compiles
+/// to on baseline x86-64, in arithmetic that vectorises: round to the
+/// nearest integer with [`ROUND_MAGIC`], read it from the bits, and step
+/// down by one where rounding went up. Larger `|y|` give garbage.
+#[inline]
+fn floor_small(y: f64) -> i64 {
+    let z = y + ROUND_MAGIC;
+    let nearest = (z.to_bits() as i64).wrapping_sub(ROUND_MAGIC.to_bits() as i64);
+    nearest.wrapping_sub(i64::from(z - ROUND_MAGIC > y))
+}
+
 /// Quantize a slice in one pass, checking finiteness and overflow.
 ///
-/// `out` must have the same length as `input`. The arithmetic is performed in
-/// `f64` so the bound `|p·2ε − e| ≤ ε` holds for every representable `f32`
-/// input (an `f32` reciprocal could lose the guarantee near the rounding
-/// boundary).
+/// `out` must have the same length as `input`; on error its contents are
+/// unspecified. The arithmetic is performed in `f64` so the bound
+/// `|p·2ε − e| ≤ ε` holds for every representable `f32` input (an `f32`
+/// reciprocal could lose the guarantee near the rounding boundary).
+///
+/// The loop has no branch and no libm call. `floor(x + 0.5)` lies within
+/// `±QUANT_MAX` exactly when `x + 0.5 ∈ [−QUANT_MAX, QUANT_MAX + 1)`, and a
+/// non-finite input scales to NaN or ±∞, which is never in that range, so
+/// one OR-accumulated flag covers both checks. When it is raised, a cold
+/// rescan finds the first failing index and its kind.
 pub fn quantize(input: &[f32], eps: f64, out: &mut [i64]) -> Result<(), QuantizeError> {
     assert_eq!(input.len(), out.len(), "output length mismatch");
     let recip = 1.0 / (2.0 * eps);
+    let lo = -(QUANT_MAX as f64);
+    let hi = (QUANT_MAX + 1) as f64;
+    let mut bad = false;
+    for (o, &v) in out.iter_mut().zip(input) {
+        let y = f64::from(v) * recip + 0.5;
+        bad |= !((y >= lo) & (y < hi));
+        *o = floor_small(y);
+    }
+    if bad {
+        return quantize_checked(input, recip, out);
+    }
+    Ok(())
+}
+
+/// [`quantize`] one element at a time, stopping at the first failure.
+#[cold]
+#[inline(never)]
+fn quantize_checked(input: &[f32], recip: f64, out: &mut [i64]) -> Result<(), QuantizeError> {
     for (i, (o, &v)) in out.iter_mut().zip(input).enumerate() {
         if !v.is_finite() {
             return Err(QuantizeError::NonFinite { index: i });

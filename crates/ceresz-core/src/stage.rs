@@ -20,8 +20,7 @@
 //!   ([`StageSpec::PreQuantize`] pads with zeros; the stream header records
 //!   the true element count so decode can truncate).
 
-use crate::block::BlockCodec;
-use crate::block::HeaderWidth;
+use crate::block::{BlockCodec, BlockScratch, HeaderWidth};
 use crate::compressor::{CompressError, CompressionStats};
 use crate::lorenzo::{forward_1d_in_place, forward_2d, inverse_1d_in_place, inverse_2d};
 use crate::quantize::{dequantize, quantize, QuantizeError};
@@ -299,9 +298,10 @@ impl Stage for FixedLengthStage {
             return Err(CompressError::BadBlockSize(ctx.block_size));
         }
         let codec = BlockCodec::new(ctx.block_size, ctx.header);
+        let mut scratch = BlockScratch::default();
         let mut out = Vec::with_capacity(deltas.len());
         for block in deltas.chunks_exact(ctx.block_size) {
-            let info = codec.encode_deltas(block, &mut out)?;
+            let info = codec.encode_deltas_with(block, &mut scratch, &mut out)?;
             stats.absorb_block(info);
         }
         Ok(Plane::Bytes(out))
@@ -311,11 +311,12 @@ impl Stage for FixedLengthStage {
         let bytes = input.into_bytes()?;
         let codec = BlockCodec::new(ctx.block_size, ctx.header);
         let mut out = Vec::new();
+        let mut scratch = BlockScratch::default();
         let mut block = vec![0i64; ctx.block_size];
         let mut pos = 0usize;
         // Blocks are self-framing; consume the whole payload.
         while pos < bytes.len() {
-            pos += codec.decode_block_deltas(&bytes[pos..], &mut block)?;
+            pos += codec.decode_block_deltas_with(&bytes[pos..], &mut scratch, &mut block)?;
             out.extend_from_slice(&block);
         }
         Ok(Plane::I64(out))

@@ -17,7 +17,8 @@ use std::sync::Arc;
 use ceresz_core::block::BlockCodec;
 use ceresz_core::compressor::CompressError;
 use ceresz_core::fixed_length::{
-    apply_signs, bit_shuffle_one_plane, effective_bits, max_magnitude, signs_and_magnitudes,
+    apply_signs, bit_shuffle_one_plane, bit_unshuffle_one_plane, effective_bits, max_magnitude,
+    signs_and_magnitudes,
 };
 use ceresz_core::plan::SubStageKind;
 use ceresz_core::quantize::QuantizeError;
@@ -331,8 +332,10 @@ impl CompressState {
                 charger.charge_op(Op::F32AddRound, l);
                 let mut q = Vec::with_capacity(scaled.len());
                 for (i, &x) in scaled.iter().enumerate() {
+                    // The cast saturates to i64::MIN for a huge negative
+                    // x, whose `abs()` would overflow.
                     let p = (x + 0.5).floor() as i64;
-                    if p.abs() > QUANT_MAX {
+                    if p.unsigned_abs() > QUANT_MAX.unsigned_abs() {
                         return Err(CompressError::Quantize(QuantizeError::Overflow {
                             index: i,
                         }));
@@ -455,7 +458,7 @@ impl CompressState {
     }
 
     /// Encode the finished block to bytes, byte-identical to
-    /// [`BlockCodec::encode_deltas`] with a matching codec.
+    /// [`BlockCodec::encode_deltas_with`] with a matching codec.
     ///
     /// # Panics
     /// If the state is not complete (see [`CompressState::finish`]).
@@ -721,10 +724,7 @@ impl DecompressState {
                 charger.charge_op(Op::UnshuffleBit, mags.len() as u64);
                 let pb = mags.len().div_ceil(8);
                 let plane = &planes[k as usize * pb..(k as usize + 1) * pb];
-                for (i, m) in mags.iter_mut().enumerate() {
-                    let bit = (plane[i / 8] >> (i % 8)) & 1;
-                    *m |= u32::from(bit) << k;
-                }
+                bit_unshuffle_one_plane(plane, k, &mut mags);
                 Ok(DecompressState::Unshuffling {
                     f,
                     signs,
@@ -927,6 +927,24 @@ mod tests {
         codec().encode_block(&data, eps, &mut reference).unwrap();
         let bytes = compress_block(&data, &codec(), eps, &mut NullCharger).unwrap();
         assert_eq!(bytes, reference);
+    }
+
+    #[test]
+    fn i64_saturating_value_is_the_host_overflow_error() {
+        // -f32::MAX at a tiny ε scales past the i64 range; the conversion
+        // saturates to i64::MIN, which must be a typed overflow as on the host.
+        let mut data = sample_block();
+        data[5] = -f32::MAX;
+        let eps = 1e-6;
+        let host = codec()
+            .encode_block(&data, eps, &mut Vec::new())
+            .unwrap_err();
+        let wse = compress_block(&data, &codec(), eps, &mut NullCharger).unwrap_err();
+        assert_eq!(wse, host);
+        assert_eq!(
+            wse,
+            CompressError::Quantize(QuantizeError::Overflow { index: 5 })
+        );
     }
 
     #[test]
