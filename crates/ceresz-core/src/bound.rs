@@ -64,21 +64,42 @@ impl ErrorBound {
 /// Minimum and maximum of the finite values in `data`.
 ///
 /// Returns `(0.0, 0.0)` for an empty slice or a slice with no finite values.
+/// When the extreme is a zero, its sign depends on the order of the data;
+/// the `ε` [`ErrorBound::resolve`] derives from it does not.
 #[must_use]
 pub fn value_range(data: &[f32]) -> (f32, f32) {
-    let mut min = f32::INFINITY;
-    let mut max = f32::NEG_INFINITY;
-    for &v in data {
-        if v.is_finite() {
-            min = min.min(v);
-            max = max.max(v);
+    // Eight independent lanes, each a compare-and-select with non-finite
+    // values mapped to the identity (±∞), so the loop vectorizes.
+    let mut lo = [f32::INFINITY; 8];
+    let mut hi = [f32::NEG_INFINITY; 8];
+    let (chunks, rest) = data.as_chunks::<8>();
+    for c in chunks {
+        for ((l, h), &v) in lo.iter_mut().zip(&mut hi).zip(c) {
+            min_max_step(l, h, v);
         }
+    }
+    for &v in rest {
+        min_max_step(&mut lo[0], &mut hi[0], v);
+    }
+    let (mut min, mut max) = (f32::INFINITY, f32::NEG_INFINITY);
+    for v in lo.into_iter().chain(hi) {
+        min_max_step(&mut min, &mut max, v);
     }
     if min > max {
         (0.0, 0.0)
     } else {
         (min, max)
     }
+}
+
+/// Fold `v` into a running `(lo, hi)` unless it is NaN or infinite.
+#[inline(always)]
+fn min_max_step(lo: &mut f32, hi: &mut f32, v: f32) {
+    let finite = v.abs() < f32::INFINITY;
+    let l = if finite { v } else { f32::INFINITY };
+    let h = if finite { v } else { f32::NEG_INFINITY };
+    *lo = if l < *lo { l } else { *lo };
+    *hi = if h > *hi { h } else { *hi };
 }
 
 #[cfg(test)]

@@ -417,3 +417,111 @@ mod reference_kernels {
         assert_quantize_matches(&near, 0.5);
     }
 }
+
+/// `value_range` against the element-wise loop it replaced, and the `ε`
+/// that `ErrorBound::Rel` resolves from it, bit for bit.
+mod reference_value_range {
+    use ceresz_core::bound::value_range;
+    use ceresz_core::ErrorBound;
+
+    fn ref_value_range(data: &[f32]) -> (f32, f32) {
+        let mut min = f32::INFINITY;
+        let mut max = f32::NEG_INFINITY;
+        for &v in data {
+            if v.is_finite() {
+                min = min.min(v);
+                max = max.max(v);
+            }
+        }
+        if min > max {
+            (0.0, 0.0)
+        } else {
+            (min, max)
+        }
+    }
+
+    /// `ErrorBound::resolve` for `Rel`, over a given range.
+    fn ref_resolve(lambda: f64, (min, max): (f32, f32)) -> f64 {
+        let range = f64::from(max) - f64::from(min);
+        if range > 0.0 {
+            lambda * range
+        } else {
+            let mag = f64::from(max.abs());
+            if mag > 0.0 {
+                lambda * mag
+            } else {
+                lambda
+            }
+        }
+    }
+
+    fn assert_matches(data: &[f32]) {
+        let got = value_range(data);
+        let want = ref_value_range(data);
+        // `==` on purpose: a zero extreme may carry either sign.
+        assert!(
+            got.0 == want.0 && got.1 == want.1,
+            "{got:?} != {want:?} on {data:?}"
+        );
+        for lambda in [1e-4, 0.37] {
+            let eps = ErrorBound::Rel(lambda).resolve(data);
+            assert_eq!(
+                eps.to_bits(),
+                ref_resolve(lambda, want).to_bits(),
+                "{data:?}"
+            );
+        }
+    }
+
+    /// Deterministic xorshift64*.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        /// NaN, ±∞, ±0, subnormals, extremes or ordinary values.
+        fn value(&mut self) -> f32 {
+            let r = self.next();
+            match r % 10 {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                3 => 0.0,
+                4 => -0.0,
+                5 => f32::from_bits((r >> 32) as u32 & 0x807F_FFFF), // subnormal
+                6 => [f32::MAX, f32::MIN, f32::MIN_POSITIVE, -f32::MIN_POSITIVE]
+                    [(r >> 40) as usize % 4],
+                _ => f32::from_bits((r >> 32) as u32),
+            }
+        }
+    }
+
+    #[test]
+    fn value_range_matches_reference() {
+        assert_matches(&[]);
+        assert_matches(&[f32::NAN; 17]);
+        assert_matches(&[f32::INFINITY, f32::NEG_INFINITY, f32::NAN]);
+        assert_matches(&[0.0, -0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.0]);
+        let mut rng = Rng(0x00DD_BA11_5EED);
+        for case in 0..4000 {
+            let len = rng.next() as usize % 70;
+            let mut data: Vec<f32> = (0..len).map(|_| rng.value()).collect();
+            if case % 4 == 0 {
+                // Mostly non-finite: at most one finite value survives.
+                for v in data.iter_mut().skip(1) {
+                    *v = if rng.next().is_multiple_of(2) {
+                        f32::NAN
+                    } else {
+                        f32::INFINITY
+                    };
+                }
+            }
+            assert_matches(&data);
+        }
+    }
+}

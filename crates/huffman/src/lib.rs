@@ -5,9 +5,10 @@
 //! compressors (the CereSZ paper compares against both; cuSZ is
 //! "prediction and Huffman encoding", §5.1.3).
 //!
-//! Pipeline: [`histogram`] → [`tree::build_code_lengths`] (package-merge-free
-//! heap construction with depth limiting) → [`canonical::CanonicalCode`] →
-//! [`codec::encode`] / [`codec::decode`].
+//! Pipeline: symbol counts → [`tree::build_code_lengths`] (heap
+//! construction) → [`canonical::CanonicalCode`] → [`codec::encode`] /
+//! [`codec::decode`]. Both codec directions are table-driven; see
+//! [`codec`] for the dense/sparse split and the lookup-table decoder.
 //!
 //! ```
 //! use huffman::codec;
@@ -18,7 +19,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-pub mod bitio;
 pub mod canonical;
 pub mod codec;
 pub mod tree;

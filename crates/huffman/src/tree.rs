@@ -12,66 +12,54 @@ use crate::HuffmanError;
 /// alphabet gets length 1. Ties are broken deterministically by smallest
 /// symbol so encoder and decoder agree across runs and platforms.
 pub fn build_code_lengths(freqs: &HashMap<u32, u64>) -> Result<HashMap<u32, u8>, HuffmanError> {
-    if freqs.is_empty() {
-        return Err(HuffmanError::EmptyInput);
-    }
-    if freqs.len() == 1 {
-        let &sym = freqs.keys().next().expect("len 1");
-        return Ok(HashMap::from([(sym, 1u8)]));
+    let mut sorted: Vec<(u32, u64)> = freqs.iter().map(|(&s, &f)| (s, f)).collect();
+    sorted.sort_unstable();
+    let lengths = code_lengths(&sorted)?;
+    Ok(sorted.iter().map(|&(s, _)| s).zip(lengths).collect())
+}
+
+/// [`build_code_lengths`] over `(symbol, frequency)` pairs sorted by symbol
+/// with no repeats: `lengths[i]` is the code length of `sorted[i].0`.
+pub(crate) fn code_lengths(sorted: &[(u32, u64)]) -> Result<Vec<u8>, HuffmanError> {
+    debug_assert!(sorted.windows(2).all(|w| w[0].0 < w[1].0));
+    match sorted.len() {
+        0 => return Err(HuffmanError::EmptyInput),
+        1 => return Ok(vec![1]),
+        _ => {}
     }
 
-    // Node arena: leaves then internal nodes.
-    struct Node {
-        left: Option<usize>,
-        right: Option<usize>,
-        symbol: Option<u32>,
-    }
-    let mut arena: Vec<Node> = Vec::with_capacity(freqs.len() * 2);
+    // Node arena: the leaves `0..n` in symbol order, then internal nodes.
+    let n = sorted.len();
+    let mut children: Vec<(usize, usize)> = Vec::with_capacity(n - 1);
     // Heap of (freq, tiebreak, node index). The tiebreak makes construction
     // deterministic: smaller symbol / earlier internal node wins.
-    let mut heap: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-    let mut symbols: Vec<(u32, u64)> = freqs.iter().map(|(&s, &f)| (s, f)).collect();
-    symbols.sort_unstable();
-    for (s, f) in symbols {
-        let idx = arena.len();
-        arena.push(Node {
-            left: None,
-            right: None,
-            symbol: Some(s),
-        });
-        heap.push(Reverse((f, u64::from(s), idx)));
-    }
+    let mut heap: BinaryHeap<Reverse<(u64, u64, usize)>> = sorted
+        .iter()
+        .enumerate()
+        .map(|(idx, &(s, f))| Reverse((f, u64::from(s), idx)))
+        .collect();
     let mut internal_seq = u64::from(u32::MAX) + 1;
     while heap.len() > 1 {
         let Reverse((f1, _, n1)) = heap.pop().expect("len > 1");
         let Reverse((f2, _, n2)) = heap.pop().expect("len > 1");
-        let idx = arena.len();
-        arena.push(Node {
-            left: Some(n1),
-            right: Some(n2),
-            symbol: None,
-        });
-        heap.push(Reverse((f1 + f2, internal_seq, idx)));
+        heap.push(Reverse((f1 + f2, internal_seq, n + children.len())));
+        children.push((n1, n2));
         internal_seq += 1;
     }
     let root = heap.pop().expect("one node left").0 .2;
 
     // Depth-first traversal to record leaf depths (iterative: trees can be
     // deep for skewed frequencies).
-    let mut lengths = HashMap::with_capacity(freqs.len());
+    let mut lengths = vec![0u8; n];
     let mut stack = vec![(root, 0u8)];
     while let Some((idx, depth)) = stack.pop() {
-        let node = &arena[idx];
-        if let Some(sym) = node.symbol {
-            lengths.insert(sym, depth.max(1));
+        if idx < n {
+            lengths[idx] = depth.max(1);
         } else {
             let d = depth.checked_add(1).ok_or(HuffmanError::CorruptTable)?;
-            if let Some(l) = node.left {
-                stack.push((l, d));
-            }
-            if let Some(r) = node.right {
-                stack.push((r, d));
-            }
+            let (l, r) = children[idx - n];
+            stack.push((l, d));
+            stack.push((r, d));
         }
     }
     Ok(lengths)

@@ -147,7 +147,8 @@ impl PackedRule {
 /// The routing fabric: per-(PE, color) rules plus per-link busy bookkeeping.
 ///
 /// Both tables are flat row-major vectors — `rules` strided by
-/// [`COLOR_SLOTS`] per PE, `link_free_at` strided by [`LINK_SLOTS`] per PE —
+/// [`COLOR_SLOTS`] per PE, `link_free_at` strided by the four outgoing links
+/// (N/S/E/W, indexed by [`Direction::index`]) per PE —
 /// so the hot path of `resolve_path` / `schedule_stream` is pure index
 /// arithmetic with no hashing.
 #[derive(Debug, Default)]
